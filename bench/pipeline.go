@@ -7,8 +7,8 @@
 //     scan, matches projected straight into the group-by, no
 //     intermediate relation anywhere.
 //   - Materialized: the one-shot composition — filter into a copied
-//     relation, join.SharedHashJoin emitting into materialized columns,
-//     agg.AddBatch over those columns.
+//     relation, join.HashJoin emitting into materialized columns,
+//     agg.AddBatch (agg.AddParallel at workers > 1) over those columns.
 //
 // The benchmark harness (pipeline_test.go) and the examples/pipeline
 // demo both drive these, so the comparison the README quotes is exactly
@@ -83,9 +83,10 @@ func SegmentRevenueStreaming(d PipelineData, cut uint64, cfg pipe.Config) (*agg.
 }
 
 // SegmentRevenueMaterialized is the same query as the one-shot operator
-// composition this repo offered before pipe: filter into a copied
-// relation, join into materialized (segment, cents) columns, aggregate
-// the columns. Every intermediate is a real allocation.
+// composition: filter into a copied relation, join into materialized
+// (segment, cents) columns through the serial join.HashJoin, aggregate
+// the columns (in parallel when workers > 1). Every intermediate is a
+// real allocation.
 func SegmentRevenueMaterialized(d PipelineData, cut uint64, workers int) (*agg.GroupBy, error) {
 	filtered := make(join.Relation, 0, len(d.Orders))
 	for _, r := range d.Orders {
@@ -99,18 +100,11 @@ func SegmentRevenueMaterialized(d PipelineData, cut uint64, workers int) (*agg.G
 		segments = append(segments, segment)
 		cents = append(cents, c)
 	}
-	var err error
-	if workers > 1 {
-		// SharedHashJoin serializes emit internally, like any
-		// materializing consumer must.
-		_, err = join.SharedHashJoin(d.Customers, filtered, workers, join.Config{}, emit)
-	} else {
-		_, err = join.HashJoin(d.Customers, filtered, join.Config{}, emit)
-	}
-	if err != nil {
+	if _, err := join.HashJoin(d.Customers, filtered, join.Config{}, emit); err != nil {
 		return nil, err
 	}
 	g := agg.MustNewGroupBy(agg.Config{ExpectedGroups: PipelineSegments})
+	var err error
 	if workers > 1 {
 		err = g.AddParallel(exec.Config{Workers: workers}, segments, cents)
 	} else {

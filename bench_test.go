@@ -12,9 +12,7 @@
 package repro_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/agg"
@@ -343,58 +341,14 @@ var escapeSink *slab.Entry
 // ---------------------------------------------------------------------------
 
 // reportNsPerKey converts a benchmark that processes table.BatchWidth keys
-// per iteration into the paper-tracking ns/key metric, and records the
-// datapoint for the BENCH_table.json artifact.
+// per iteration into the paper-tracking ns/key metric.
 func reportNsPerKey(b *testing.B) {
 	reportKeyedNs(b, b.N*table.BatchWidth)
 }
 
-// reportKeyedNs reports ns/key for a benchmark that processed total keys,
-// recording the datapoint for the BENCH_table.json artifact.
+// reportKeyedNs reports ns/key for a benchmark that processed total keys.
 func reportKeyedNs(b *testing.B, total int) {
-	ns := float64(b.Elapsed().Nanoseconds()) / float64(total)
-	b.ReportMetric(ns, "ns/key")
-	// The framework reruns a sub-benchmark with ramping b.N while
-	// calibrating; keep only the final (longest) run's datapoint.
-	if n := len(tableBenchResults); n > 0 && tableBenchResults[n-1].Case == b.Name() {
-		tableBenchResults[n-1].NsPerKey = ns
-		return
-	}
-	tableBenchResults = append(tableBenchResults, tableBenchPoint{Case: b.Name(), NsPerKey: ns})
-}
-
-// tableBenchPoint is one ⟨sub-benchmark, ns/key⟩ datapoint of the batch
-// probe/insert sweeps.
-type tableBenchPoint struct {
-	Case     string  `json:"case"`
-	NsPerKey float64 `json:"ns_per_key"`
-}
-
-// tableBenchResults accumulates datapoints across the batch benchmarks
-// for the JSON artifact.
-var tableBenchResults []tableBenchPoint
-
-// writeTableBenchJSON dumps the accumulated ns/key datapoints to the file
-// named by the BENCH_TABLE_JSON environment variable (the CI bench-smoke
-// step uploads it as the BENCH_table.json artifact tracking the repo's
-// batch-pipeline trajectory). Both batch benchmarks call it; the file is
-// rewritten with everything collected so far, so the invocation order
-// does not matter.
-func writeTableBenchJSON(b *testing.B) {
-	path := os.Getenv("BENCH_TABLE_JSON")
-	if path == "" || len(tableBenchResults) == 0 {
-		return
-	}
-	out, err := json.MarshalIndent(struct {
-		Benchmark string            `json:"benchmark"`
-		Points    []tableBenchPoint `json:"points"`
-	}{Benchmark: "BenchmarkBatchProbe/BenchmarkBatchInsert", Points: tableBenchResults}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/key")
 }
 
 // BenchmarkBatchProbe compares the scalar probe loop against the batched
@@ -403,7 +357,7 @@ func writeTableBenchJSON(b *testing.B) {
 // independent lane misses actually overlap) with a 75/25 hit/miss probe
 // mix. Every iteration processes one BatchWidth-key batch, so ns/op values
 // are directly comparable between the scalar and batch64 variants; ns/key
-// is also reported for the BENCH trajectories.
+// is also reported.
 //
 // Expected shape: batching wins wherever probe sequences have cache-line
 // locality (LP, LPSoA, RH, the chained schemes) or bounded candidate sets
@@ -467,7 +421,6 @@ func BenchmarkBatchProbe(b *testing.B) {
 			})
 		}
 	}
-	writeTableBenchJSON(b)
 }
 
 // BenchmarkBatchInsert compares scalar and batched WORM builds per scheme:
@@ -510,7 +463,6 @@ func BenchmarkBatchInsert(b *testing.B) {
 			reportKeyedNs(b, b.N*n)
 		})
 	}
-	writeTableBenchJSON(b)
 }
 
 // BenchmarkHashJoin measures the classic build/probe equi-join per scheme:
@@ -545,13 +497,6 @@ func BenchmarkHashJoin(b *testing.B) {
 			}
 		})
 	}
-	b.Run("Partitioned8xRH", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := join.PartitionedHashJoin(build, probe, 8, join.Config{Scheme: table.SchemeRH, Seed: 42}, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAggregateVsWORM reproduces the paper's §4 equivalence claim:

@@ -57,7 +57,7 @@ type Choice struct {
 	// single-threaded use, no striping.
 	Shards int `json:"shards,omitempty"`
 	// Workers is the recommended exec.Config.Workers for the parallel
-	// operators (joins, parallel aggregation, partition build/probe), set
+	// operators (pipe joins, parallel aggregation), set
 	// alongside Shards when the thread count is > 1; zero means
 	// single-threaded use, no pool.
 	Workers int      `json:"workers,omitempty"`

@@ -1,12 +1,10 @@
 // Package exec is the repo's one morsel-driven parallel execution core.
 //
-// Every parallel operator above the table layer — partitioned and shared
-// hash joins, parallel aggregation, partition-parallel build/probe, the
-// concurrent workload drivers — used to carry its own ad-hoc goroutine
-// fan-out: one goroutine per partition regardless of core count, bespoke
-// chunking, bespoke error conventions. This package consolidates all of
-// that into one scheduling core, the way morsel-driven query execution
-// (Leis et al., SIGMOD 2014) structures parallelism: a bounded pool of
+// Every parallel operator above the table layer — the pipe operator
+// pipeline, parallel aggregation, the concurrent workload drivers — runs
+// on this one scheduling core rather than an ad-hoc goroutine fan-out of
+// its own. It structures parallelism the way morsel-driven query
+// execution (Leis et al., SIGMOD 2014) does: a bounded pool of
 // workers, work carved into cache-friendly morsels (index ranges), and
 // idle workers claiming the next morsel from a shared cursor — dynamic
 // self-scheduling, so a worker that finishes early steals the remaining
@@ -20,7 +18,7 @@
 //     everything scheduled on the pool, MaxInFlight bounds concurrent
 //     submissions (admission control).
 //   - Pool owns the worker goroutines. ForEach schedules discrete tasks
-//     (e.g. one per partition), ForMorsels carves an index range [0, n)
+//     (e.g. one per shard), ForMorsels carves an index range [0, n)
 //     into morsels; both propagate the first error and stop scheduling
 //     further work once a task fails. The Ctx variants thread a
 //     per-submission context through the same claim cursor.
@@ -29,8 +27,8 @@
 //     accumulator through the morsels a worker claims — the
 //     pre-aggregation pattern — and returns the used accumulators in
 //     worker order.
-//   - Scatter is the one stable scatter→group-major→gather primitive the
-//     sharded engine and the radix-partitioned operators share.
+//   - Scatter is the stable scatter→group-major→gather primitive the
+//     sharded engine regroups key batches with.
 //
 // Failure is a first-class input: a cancelled context stops the claim
 // cursor exactly like a task error does; a panicking task is recovered
@@ -68,9 +66,8 @@ const DefaultMorselSize = 4096
 // CPU, default morsels, no cancellation, no admission limit".
 type Config struct {
 	// Workers bounds the number of concurrently executing tasks (default
-	// runtime.GOMAXPROCS(0)). Parallel operators accept this instead of
-	// spawning one goroutine per partition: the fan-out stays bounded by
-	// the machine, not by the data.
+	// runtime.GOMAXPROCS(0)): the fan-out stays bounded by the machine,
+	// not by the data.
 	Workers int
 	// MorselSize is the number of consecutive indexes per morsel in
 	// ForMorsels/MapMorsels/Locals (default DefaultMorselSize).
@@ -425,38 +422,6 @@ func (p *Pool) ForMorselsCtx(ctx context.Context, n int, fn func(worker, lo, hi 
 		}
 		return fn(w, lo, hi)
 	})
-}
-
-// Run executes fn over the morsels of [0, n) on a transient pool sized by
-// cfg — the one-shot form of NewPool + ForMorsels + Close for operators
-// that parallelize a single phase.
-func Run(cfg Config, n int, fn func(worker, lo, hi int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	cfg = cfg.withDefaults()
-	if m := morselsFor(n, cfg.MorselSize); cfg.Workers > m {
-		cfg.Workers = m // never start workers that could not claim a morsel
-	}
-	p := NewPool(cfg)
-	defer p.Close()
-	return p.ForMorsels(n, fn)
-}
-
-// RunTasks executes fn once per task in [0, tasks) on a transient pool
-// sized by cfg — the one-shot form for discrete units of work (one task
-// per partition, one per tape).
-func RunTasks(cfg Config, tasks int, fn func(worker, task int) error) error {
-	if tasks <= 0 {
-		return nil
-	}
-	cfg = cfg.withDefaults()
-	if cfg.Workers > tasks {
-		cfg.Workers = tasks
-	}
-	p := NewPool(cfg)
-	defer p.Close()
-	return p.ForEach(tasks, fn)
 }
 
 // Map executes fn for every task and gathers the results in task order —

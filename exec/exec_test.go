@@ -230,45 +230,6 @@ func TestLocalsPerWorker(t *testing.T) {
 	}
 }
 
-// TestRunAndRunTasks: the transient-pool conveniences cover their ranges
-// and tolerate empty input.
-func TestRunAndRunTasks(t *testing.T) {
-	if err := exec.Run(exec.Config{}, 0, func(_, _, _ int) error {
-		t.Error("fn called for empty range")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := exec.RunTasks(exec.Config{}, 0, func(_, _ int) error {
-		t.Error("fn called for zero tasks")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var sum atomic.Int64
-	if err := exec.Run(exec.Config{Workers: 3, MorselSize: 10}, 100, func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			sum.Add(int64(i))
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 4950 {
-		t.Fatalf("Run sum = %d, want 4950", sum.Load())
-	}
-	var tasks atomic.Int64
-	if err := exec.RunTasks(exec.Config{Workers: 3}, 17, func(_, task int) error {
-		tasks.Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if tasks.Load() != 17 {
-		t.Fatalf("RunTasks ran %d tasks, want 17", tasks.Load())
-	}
-}
-
 // TestScatterStableAndComplete: Route regroups the column group-major,
 // Orig is a permutation mapping staged slots to input lanes, every staged
 // key actually routes to its group, and same-group keys keep input order

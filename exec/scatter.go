@@ -1,20 +1,18 @@
 package exec
 
-// The one scatter→group-major→gather primitive. Radix-partitioned
-// operators and the sharded engine all regroup a key column by the top
-// bits of a routing hash before working group-by-group; this file is the
-// single implementation of that stable scatter (it replaced
-// partition.Partitioned's stage/partitionAll and shard.Engine's private
-// scatter, which had drifted into near-identical copies).
+// The one scatter→group-major→gather primitive. The sharded engine
+// regroups every key batch by the top bits of its routing hash before
+// working shard-by-shard; this file is the single implementation of that
+// stable scatter.
 
 import "repro/hashfn"
 
-// Scatter is one stable scatter of a key column into groups (partitions
-// or shards): the keys regrouped group-major, the original lane of every
-// staged slot, per-group extents, and value/flag staging areas sized to
-// match. The scatter is stable — keys of the same group keep their input
-// order — so duplicate keys (which always share a group) retain
-// sequential semantics when the staged ranges are applied in order.
+// Scatter is one stable scatter of a key column into groups (shards):
+// the keys regrouped group-major, the original lane of every staged slot,
+// per-group extents, and value/flag staging areas sized to match. The
+// scatter is stable — keys of the same group keep their input order — so
+// duplicate keys (which always share a group) retain sequential semantics
+// when the staged ranges are applied in order.
 //
 // After Route, group j's staged range is Keys[Starts[j]:Starts[j+1]], and
 // staged slot i came from input lane Orig[i]. Vals and OK are scratch

@@ -152,7 +152,7 @@ func isExecPkg(pkgPath string) bool {
 
 // pkgOfIdentIsExec reports whether sel's qualifier resolves to an
 // imported package whose path base is "exec" — i.e. the expression is a
-// direct reference into the exec package (exec.RunTasks, exec.NewPool,
+// direct reference into the exec package (exec.NewPool, exec.Map,
 // exec.Config{...}).
 func (p *Pass) isExecPkgSelector(sel *ast.SelectorExpr) bool {
 	id, ok := sel.X.(*ast.Ident)
@@ -164,7 +164,7 @@ func (p *Pass) isExecPkgSelector(sel *ast.SelectorExpr) bool {
 }
 
 // isExecCall reports whether call invokes something in the exec package:
-// a package-level function (exec.RunTasks) or a method on an exec type
+// a package-level function (exec.NewPool) or a method on an exec type
 // (pool.ForEach with pool an *exec.Pool).
 func (p *Pass) isExecCall(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)

@@ -6,9 +6,9 @@ import (
 )
 
 // CtxPropagate enforces the PR 6 cancellation contract: a function that
-// accepts a Config carrying a Ctx field (join.Config, partition.Config,
-// workload's RWConfig/ChaosConfig, ...) must thread that context into
-// the exec.Config values it builds. An exec.Config composite literal
+// accepts a Config carrying a Ctx field (pipe.Config, workload's
+// RWConfig/ChaosConfig, ...) must thread that context into the
+// exec.Config values it builds. An exec.Config composite literal
 // without a Ctx element inside such a function silently launches
 // uncancellable work — the caller's context is accepted and then
 // dropped on the floor.

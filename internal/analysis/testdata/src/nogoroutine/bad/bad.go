@@ -1,5 +1,5 @@
 // Package bad hand-rolls a worker pool: the exact pattern PR 5 removed
-// from join/agg/partition/workload when the exec pool became the one
+// from join/agg/workload when the exec pool became the one
 // concurrency owner. Every primitive in it is a diagnostic.
 package bad
 

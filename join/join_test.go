@@ -2,7 +2,6 @@ package join
 
 import (
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -107,26 +106,6 @@ func TestHashJoinDefaultSchemeFromDecisionGraph(t *testing.T) {
 	}
 }
 
-func TestPartitionedHashJoinMatchesSerial(t *testing.T) {
-	build, probe := makeRelations(8000, 30000, 25, 9)
-	wantN := NestedLoopJoin(build, probe, nil)
-	for _, p := range []int{1, 2, 8} {
-		var mu sync.Mutex
-		var got []match
-		n, err := PartitionedHashJoin(build, probe, p, Config{Scheme: table.SchemeRH}, func(k, b, pp uint64) {
-			mu.Lock()
-			got = append(got, match{k, b, pp})
-			mu.Unlock()
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		if n != wantN || len(got) != wantN {
-			t.Fatalf("p=%d: %d matches, want %d", p, n, wantN)
-		}
-	}
-}
-
 func TestEmptyRelations(t *testing.T) {
 	if n, err := HashJoin(nil, Relation{{1, 1}}, Config{}, nil); err != nil || n != 0 {
 		t.Fatalf("empty build: %d, %v", n, err)
@@ -134,7 +113,7 @@ func TestEmptyRelations(t *testing.T) {
 	if n, err := HashJoin(Relation{{1, 1}}, nil, Config{}, nil); err != nil || n != 0 {
 		t.Fatalf("empty probe: %d, %v", n, err)
 	}
-	if n, err := PartitionedHashJoin(nil, nil, 4, Config{}, nil); err != nil || n != 0 {
+	if n, err := HashJoin(nil, nil, Config{}, nil); err != nil || n != 0 {
 		t.Fatalf("empty both: %d, %v", n, err)
 	}
 }
@@ -167,35 +146,5 @@ func TestRelationKeys(t *testing.T) {
 	ks := r.Keys()
 	if len(ks) != 2 || ks[0] != 5 || ks[1] != 7 {
 		t.Fatalf("Keys = %v", ks)
-	}
-}
-
-// TestSharedHashJoinMatchesSerial: the shared-engine concurrent join must
-// produce exactly the sequential join's matches (build keys unique, so
-// worker interleaving cannot change the result set).
-func TestSharedHashJoinMatchesSerial(t *testing.T) {
-	build, probe := makeRelations(5000, 40000, 25, 99)
-	var mu sync.Mutex
-	got := map[uint64]uint64{}
-	matches, err := SharedHashJoin(build, probe, 8, Config{Seed: 31}, func(k, bp, pp uint64) {
-		mu.Lock()
-		got[k] = bp
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[uint64]uint64{}
-	serial := NestedLoopJoin(build, probe, func(k, bp, pp uint64) { want[k] = bp })
-	if matches != serial {
-		t.Fatalf("matches = %d, serial %d", matches, serial)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("distinct matched keys = %d, serial %d", len(got), len(want))
-	}
-	for k, bp := range want {
-		if got[k] != bp {
-			t.Fatalf("key %d: payload %d, serial %d", k, got[k], bp)
-		}
 	}
 }

@@ -116,25 +116,33 @@ func TestDifferentialJoinGroupBy(t *testing.T) {
 }
 
 // TestDifferentialJoinCollect checks the raw joined row multiset (before
-// any aggregation) against the NestedLoopJoin oracle.
+// any aggregation) against the NestedLoopJoin oracle, on the fixture and
+// on empty inputs.
 func TestDifferentialJoinCollect(t *testing.T) {
-	customers := makeCustomers()[:500]
-	orders := makeOrders(rand.New(rand.NewSource(7)))[:4_000]
-	var want [][2]uint64
-	join.NestedLoopJoin(customers, orders, func(key, _, cents uint64) {
-		want = append(want, [2]uint64{key, cents})
-	})
-	sortPairs(want)
-	for _, workers := range []int{1, 8} {
-		keys, vals, err := pipe.HashJoin(
-			pipe.FromRelation(customers), pipe.FromRelation(orders), pipe.JoinConfig{},
-		).Collect(pipe.Config{Workers: workers, MorselSize: 256})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sortedPairs(keys, vals); !pairsEqual(got, want) {
-			t.Fatalf("workers=%d: joined multiset diverges from nested-loop oracle (%d vs %d rows)",
-				workers, len(got), len(want))
+	inputs := []struct {
+		name              string
+		customers, orders join.Relation
+	}{
+		{"fixture", makeCustomers()[:500], makeOrders(rand.New(rand.NewSource(7)))[:4_000]},
+		{"empty", nil, nil},
+	}
+	for _, in := range inputs {
+		var want [][2]uint64
+		join.NestedLoopJoin(in.customers, in.orders, func(key, _, cents uint64) {
+			want = append(want, [2]uint64{key, cents})
+		})
+		sortPairs(want)
+		for _, workers := range []int{1, 8} {
+			keys, vals, err := pipe.HashJoin(
+				pipe.FromRelation(in.customers), pipe.FromRelation(in.orders), pipe.JoinConfig{},
+			).Collect(pipe.Config{Workers: workers, MorselSize: 256})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", in.name, workers, err)
+			}
+			if got := sortedPairs(keys, vals); !pairsEqual(got, want) {
+				t.Fatalf("%s workers=%d: joined multiset diverges from nested-loop oracle (%d vs %d rows)",
+					in.name, workers, len(got), len(want))
+			}
 		}
 	}
 }

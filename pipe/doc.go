@@ -52,7 +52,5 @@
 // cache misses proportional to the *unfiltered* data volume, the
 // pipeline's cost is proportional to the rows that survive. Single
 // operators over already-materialized inputs (one join, one aggregation)
-// lose nothing by staying on join.HashJoin / agg.AddBatch, and
-// partition-parallel radix joins (join.PartitionedHashJoin) remain the
-// better shape when the build side is too big for one shared table.
+// lose nothing by staying on join.HashJoin / agg.AddBatch.
 package pipe

@@ -57,10 +57,9 @@ func (c JoinConfig) withDefaults() JoinConfig {
 // HashJoin joins build ⋈ probe on key, streaming. Build keys are
 // expected unique (PK/FK joins); duplicates keep the first payload
 // per key — with more than one worker, which concurrent duplicate is
-// "first" is the pool's schedule, exactly join.SharedHashJoin's
-// contract. The probe side may repeat keys freely. Each match is
-// projected through cfg.Project and continues downstream; non-matching
-// probe rows are skipped at emission.
+// "first" is the pool's schedule. The probe side may repeat keys
+// freely. Each match is projected through cfg.Project and continues
+// downstream; non-matching probe rows are skipped at emission.
 func HashJoin(build, probe *Stream, cfg JoinConfig) *Stream {
 	return &Stream{src: &joinSource{build: build, probe: probe, cfg: cfg}}
 }

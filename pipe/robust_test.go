@@ -14,6 +14,7 @@ import (
 
 	"repro/agg"
 	"repro/exec"
+	"repro/internal/fault"
 	"repro/join"
 	"repro/pipe"
 	"repro/table"
@@ -77,12 +78,59 @@ func TestCancelMidHandleScan(t *testing.T) {
 	}
 }
 
+// relation returns n rows with unique keys 1..n.
+func relation(n int) join.Relation {
+	rel := make(join.Relation, n)
+	for i := range rel {
+		rel[i] = join.Row{Key: uint64(i) + 1, Payload: uint64(i)}
+	}
+	return rel
+}
+
+// TestCancelBeforeRun: a pre-cancelled context stops a plain scan and a
+// join (whose build phase runs first) before any morsel does work.
 func TestCancelBeforeRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := pipe.FromColumns(bigColumn(1024), nil).Collect(pipe.Config{Workers: 4, Ctx: ctx})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	streams := []struct {
+		name string
+		s    *pipe.Stream
+	}{
+		{"scan", pipe.FromColumns(bigColumn(1024), nil)},
+		{"join", pipe.HashJoin(pipe.FromRelation(relation(10_000)), pipe.FromRelation(relation(10_000)),
+			pipe.JoinConfig{Scheme: table.SchemeLP})},
+	}
+	for _, tc := range streams {
+		if _, _, err := tc.s.Collect(pipe.Config{Workers: 4, Ctx: ctx}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", tc.name, err)
+		}
+	}
+}
+
+// TestHashJoinErrFullPropagation: a table refusal during the build phase
+// (injected at rate 1.0, the stand-in for a genuinely full build side)
+// must surface from the terminal as the typed *table.FullError chain —
+// through the batched build pipeline, the pool's first-error convention
+// and any suppression wrapper — serial and parallel alike.
+func TestHashJoinErrFullPropagation(t *testing.T) {
+	var rates [fault.NumKinds]float64
+	rates[fault.Full] = 1.0
+	fault.Arm(fault.Config{Seed: 3, Rates: rates})
+	defer fault.Disarm()
+
+	for _, workers := range []int{1, 4} {
+		_, err := pipe.HashJoin(pipe.FromRelation(relation(10_000)), pipe.FromRelation(relation(100)),
+			pipe.JoinConfig{Scheme: table.SchemeLP, Seed: 3}).Count(pipe.Config{Workers: workers})
+		if err == nil {
+			t.Fatalf("workers=%d: build under rate-1.0 refusals returned nil error", workers)
+		}
+		var fe *table.FullError
+		if !errors.As(err, &fe) {
+			t.Fatalf("workers=%d: error = %v, want *table.FullError in the chain", workers, err)
+		}
+		if !errors.Is(err, table.ErrFull) {
+			t.Fatalf("workers=%d: error %v does not wrap table.ErrFull", workers, err)
+		}
 	}
 }
 

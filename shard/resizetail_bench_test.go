@@ -14,14 +14,10 @@ package shard_test
 //     of the median.
 //
 // Per-op latencies are recorded and reported as p50/p99/p99.9/max
-// ns/op metrics. When the BENCH_SHARD_JSON environment variable names a
-// file, the collected distribution summary is written there as JSON (the
-// CI bench-smoke step uploads it as the BENCH_shard.json artifact).
+// ns/op metrics.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"testing"
@@ -37,36 +33,20 @@ const benchKeys = 1 << 17
 
 // tailSummary is one path's latency distribution, in nanoseconds.
 type tailSummary struct {
-	Path   string  `json:"path"`
-	Keys   int     `json:"keys"`
-	P50    float64 `json:"p50_ns"`
-	P99    float64 `json:"p99_ns"`
-	P999   float64 `json:"p999_ns"`
-	Max    float64 `json:"max_ns"`
-	MeanNs float64 `json:"mean_ns"`
+	P50, P99, P999, Max float64
 }
 
-// benchResults accumulates sub-benchmark summaries for the JSON artifact.
-var benchResults []tailSummary
-
-func summarize(path string, lat []time.Duration) tailSummary {
+func summarize(lat []time.Duration) tailSummary {
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	pick := func(q float64) float64 {
 		i := int(q * float64(len(lat)-1))
 		return float64(lat[i])
 	}
-	var sum time.Duration
-	for _, d := range lat {
-		sum += d
-	}
 	return tailSummary{
-		Path:   path,
-		Keys:   len(lat),
-		P50:    pick(0.50),
-		P99:    pick(0.99),
-		P999:   pick(0.999),
-		Max:    float64(lat[len(lat)-1]),
-		MeanNs: float64(sum) / float64(len(lat)),
+		P50:  pick(0.50),
+		P99:  pick(0.99),
+		P999: pick(0.999),
+		Max:  float64(lat[len(lat)-1]),
 	}
 }
 
@@ -106,10 +86,9 @@ func BenchmarkResizeTail(b *testing.B) {
 					b.Fatal(err)
 				}
 			})
-			s = summarize("rehash", lat)
+			s = summarize(lat)
 		}
 		reportTail(b, s)
-		benchResults = append(benchResults, s)
 	})
 	// incremental-1 isolates the resize mechanism (one shard, same keys);
 	// incremental-8 is the production configuration, where sharding also
@@ -137,22 +116,9 @@ func BenchmarkResizeTail(b *testing.B) {
 				if st := e.Stats(); st.MigrationsStarted == 0 || st.Rebuilds != 0 {
 					b.Fatalf("incremental path degenerate: %+v", st)
 				}
-				s = summarize(name, lat)
+				s = summarize(lat)
 			}
 			reportTail(b, s)
-			benchResults = append(benchResults, s)
 		})
-	}
-	if path := os.Getenv("BENCH_SHARD_JSON"); path != "" && len(benchResults) > 0 {
-		out, err := json.MarshalIndent(struct {
-			Benchmark string        `json:"benchmark"`
-			Paths     []tailSummary `json:"paths"`
-		}{Benchmark: "BenchmarkResizeTail", Paths: benchResults}, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
