@@ -24,8 +24,9 @@ import "repro/hashfn"
 //	gather results:  for i, oi := range sc.Orig { out[oi] = sc.Vals[i] }
 //
 // A Scatter may be reused across calls (Route grows the buffers in place,
-// so steady-state staging allocates nothing) but is not safe for
-// concurrent Route calls; concurrent workers may write DISJOINT staged
+// so steady-state staging allocates nothing; the sharded engine pools
+// them, one per in-flight batch call) but is not safe for concurrent
+// Route calls; concurrent workers may write DISJOINT staged
 // ranges of Vals/OK between a Route and the gather.
 type Scatter struct {
 	Keys   []uint64

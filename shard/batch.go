@@ -7,19 +7,48 @@ package shard
 // for reads, one writer-lock acquisition for writes — and results gather
 // back to the callers' lanes in input order.
 //
-// Engines are meant for concurrent callers, so the staging buffers are
-// allocated per call rather than cached: two goroutines batching on the
-// same engine must not share scratch.
+// Every batch call stages in a staging taken from a sync.Pool and
+// returned after the gather: two goroutines batching on the same engine
+// never share one, and steady-state batches allocate nothing.
 //
-// A non-migrating shard runs its table's batched pipeline (bulk-hashed,
-// round-robin probe walks). A migrating shard falls back to the scalar
-// migration-aware path per staged key, which also advances the migration —
-// batches make resize progress proportional to their size.
+// Reads run each shard's staged range through the table's batched walk
+// (bulk-hashed, round-robin probe walks) over the staging's own lane
+// scratch, so concurrent readers never share walk state; a migrating
+// shard runs the migration-aware chain per key instead (view.readBatch).
+// Writes run the table's batched pipeline under the shard lock when the
+// shard is not migrating and has room, else the scalar migration-aware
+// path per staged key, which also advances the migration — batches make
+// resize progress proportional to their size.
 
 import (
+	"sync"
+
 	"repro/exec"
+	"repro/internal/lanes"
 	"repro/obs"
 )
+
+// staging is one batch call's scratch: the shard-major scatter plus the
+// lane scratch the tables' batched walks run on.
+type staging struct {
+	exec.Scatter
+	walk lanes.Scratch
+}
+
+var stagingPool = sync.Pool{New: func() any { return new(staging) }}
+
+// scatter takes a staging from the pool and routes keys into it with the
+// shared exec.Scatter primitive: the router's bulk-hash pipeline plus one
+// stable counting pass regrouping the column shard-major. The caller
+// releases it once the results are gathered.
+func (e *Engine) scatter(keys []uint64) *staging {
+	st := stagingPool.Get().(*staging)
+	st.Route(e.router, e.shift, len(e.shards), keys)
+	return st
+}
+
+// release returns st to the pool; nothing may touch it afterwards.
+func (st *staging) release() { stagingPool.Put(st) }
 
 // GetBatch looks up keys[i] into vals[i], ok[i] for every i and returns
 // the number of hits. vals and ok must be at least as long as keys.
@@ -27,12 +56,10 @@ import (
 // Batched lookups take no locks at all: each shard's staged range runs
 // on the wait-free read path, with ONE sequence validation covering the
 // whole range (see readRange), so any number of GetBatch (and Get)
-// callers proceed in parallel with each other — and with writers. That
-// rules out the tables' own batched probe pipeline here — it mutates a
-// per-table scratch and is only safe under the exclusive lock — so the
-// staged ranges run migration-aware scalar probes instead; the
-// shard-major scatter still amortizes routing and validation to once
-// per shard per batch.
+// callers proceed in parallel with each other — and with writers. A
+// non-migrating shard's range runs the table's own batched walk
+// (Table.ReadBatch) over lane scratch private to this call; a migrating
+// shard's range runs the migration-aware chain per key.
 func (e *Engine) GetBatch(keys, vals []uint64, ok []bool) int {
 	if len(vals) < len(keys) || len(ok) < len(keys) {
 		panic("shard: GetBatch output slices shorter than keys")
@@ -47,16 +74,19 @@ func (e *Engine) GetBatch(keys, vals []uint64, ok []bool) int {
 
 func (e *Engine) getBatch(keys, vals []uint64, ok []bool) int {
 	if len(e.shards) == 1 {
-		return e.readRange(&e.shards[0], keys, vals[:len(keys)], ok[:len(keys)])
+		st := stagingPool.Get().(*staging)
+		defer st.release()
+		return e.readRange(&e.shards[0], &st.walk, keys, vals[:len(keys)], ok[:len(keys)])
 	}
 	st := e.scatter(keys)
+	defer st.release()
 	hits := 0
 	for j := range e.shards {
 		lo, hi := st.Starts[j], st.Starts[j+1]
 		if lo == hi {
 			continue
 		}
-		hits += e.readRange(&e.shards[j], st.Keys[lo:hi], st.Vals[lo:hi], st.OK[lo:hi])
+		hits += e.readRange(&e.shards[j], &st.walk, st.Keys[lo:hi], st.Vals[lo:hi], st.OK[lo:hi])
 	}
 	for i, oi := range st.Orig {
 		vals[oi], ok[oi] = st.Vals[i], st.OK[i]
@@ -129,6 +159,7 @@ func (e *Engine) putBatch(keys, vals []uint64) (int, error) {
 		return e.putBatchShard(&e.shards[0], keys, vals)
 	}
 	st := e.scatter(keys)
+	defer st.release()
 	for i, oi := range st.Orig {
 		st.Vals[i] = vals[oi]
 	}
@@ -211,6 +242,7 @@ func (e *Engine) getOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, er
 		return e.getOrPutBatchShard(&e.shards[0], keys, vals, out, loaded)
 	}
 	st := e.scatter(keys)
+	defer st.release()
 	for i, oi := range st.Orig {
 		st.Vals[i] = vals[oi]
 	}
@@ -318,6 +350,7 @@ func (e *Engine) upsertBatch(keys []uint64, fn func(lane int, old uint64, exists
 		return e.upsertBatchShard(&e.shards[0], keys, nil, fn)
 	}
 	st := e.scatter(keys)
+	defer st.release()
 	inserted := 0
 	for j := range e.shards {
 		lo, hi := st.Starts[j], st.Starts[j+1]
@@ -331,15 +364,4 @@ func (e *Engine) upsertBatch(keys []uint64, fn func(lane int, old uint64, exists
 		}
 	}
 	return inserted, nil
-}
-
-// scatter routes keys with the shared exec.Scatter primitive: the
-// router's bulk-hash pipeline plus one stable counting pass regrouping
-// the column shard-major. Engines serve concurrent callers, so the
-// scatter is allocated per call — two goroutines batching on the same
-// engine must not share staging.
-func (e *Engine) scatter(keys []uint64) *exec.Scatter {
-	st := new(exec.Scatter)
-	st.Route(e.router, e.shift, len(e.shards), keys)
-	return st
 }

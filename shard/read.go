@@ -10,6 +10,8 @@ package shard
 // rules) report every one of them. The slow path IS the optimistic
 // path's fallback, so race builds exercise real code, not a stub.
 
+import "repro/internal/lanes"
+
 // readMaxRetries bounds the optimistic attempts a reader makes before
 // falling back to the writer lock: enough to ride out a few short
 // writer windows, small enough that a reader stuck behind a long batch
@@ -32,17 +34,9 @@ func (e *Engine) readGetSlow(s *shardState, key uint64) (uint64, bool) {
 }
 
 // readRangeSlow is the locked staged-range read behind GetBatch.
-func (e *Engine) readRangeSlow(s *shardState, keys, vals []uint64, ok []bool) int {
+func (e *Engine) readRangeSlow(s *shardState, sc *lanes.Scratch, keys, vals []uint64, ok []bool) int {
 	s.mu.Lock()
-	v := s.view.Load()
-	hits := 0
-	for i, k := range keys {
-		val, o := v.get(k)
-		vals[i], ok[i] = val, o
-		if o {
-			hits++
-		}
-	}
+	hits := s.view.Load().readBatch(sc, keys, vals, ok)
 	s.mu.Unlock()
 	return hits
 }

@@ -19,7 +19,11 @@ package shard
 // stored values are checkable functions of their keys, so a torn read
 // that escaped validation cannot go unnoticed.
 
-import "runtime"
+import (
+	"runtime"
+
+	"repro/internal/lanes"
+)
 
 // readGet is the wait-free single-key read behind Get.
 func (e *Engine) readGet(s *shardState, key uint64) (uint64, bool) {
@@ -48,19 +52,11 @@ func (e *Engine) readGet(s *shardState, key uint64) (uint64, bool) {
 // loads amortize over the batch. A torn window retries the whole range
 // (the output lanes are caller-owned scratch until the batch returns,
 // so re-probing just overwrites them).
-func (e *Engine) readRange(s *shardState, keys, vals []uint64, ok []bool) int {
+func (e *Engine) readRange(s *shardState, sc *lanes.Scratch, keys, vals []uint64, ok []bool) int {
 	for attempt := 0; attempt <= readMaxRetries; attempt++ {
 		s1 := s.seq.Load()
 		if s1&1 == 0 {
-			v := s.view.Load()
-			hits := 0
-			for i, k := range keys {
-				val, o := v.get(k)
-				vals[i], ok[i] = val, o
-				if o {
-					hits++
-				}
-			}
+			hits := s.view.Load().readBatch(sc, keys, vals, ok)
 			if s.seq.Load() == s1 {
 				if attempt > 0 {
 					e.readAccount(s, uint64(attempt), false)
@@ -71,7 +67,7 @@ func (e *Engine) readRange(s *shardState, keys, vals []uint64, ok []bool) int {
 		runtime.Gosched()
 	}
 	e.readAccount(s, readMaxRetries+1, true)
-	return e.readRangeSlow(s, keys, vals, ok)
+	return e.readRangeSlow(s, sc, keys, vals, ok)
 }
 
 // readSnapshot runs fn against a validated-quiescent view of s: the

@@ -15,12 +15,14 @@ package shard
 // not protocol fallbacks, and tests asserting the counters' behavior
 // carry the !race tag.
 
+import "repro/internal/lanes"
+
 func (e *Engine) readGet(s *shardState, key uint64) (uint64, bool) {
 	return e.readGetSlow(s, key)
 }
 
-func (e *Engine) readRange(s *shardState, keys, vals []uint64, ok []bool) int {
-	return e.readRangeSlow(s, keys, vals, ok)
+func (e *Engine) readRange(s *shardState, sc *lanes.Scratch, keys, vals []uint64, ok []bool) int {
+	return e.readRangeSlow(s, sc, keys, vals, ok)
 }
 
 func (e *Engine) readSnapshot(s *shardState, fn func(v *view)) {

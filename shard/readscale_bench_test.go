@@ -4,9 +4,9 @@ package shard_test
 // GetBatch ns/key at 1, 2, 4 and 8 goroutines, on the real Engine
 // (seqlock + epoch-published views) and on an in-bench replica of the
 // engine's previous concurrency layer — per-shard sync.RWMutex around
-// the same Robin Hood tables, same router, same per-call scatter
-// staging, faithful to the pre-seqlock code down to its allocation
-// behavior. Three workloads:
+// the same Robin Hood tables, same router, per-call scatter staging and
+// scalar per-key probes, faithful to the pre-seqlock code down to its
+// allocation behavior. Three workloads:
 //
 //   - get: scalar Get only, the per-key lock cost at its barest. The
 //     RWMutex baseline pays two lock-word RMWs per key — a cross-core
@@ -48,10 +48,9 @@ type benchOps struct {
 }
 
 // rwEngine replicates the engine's pre-seqlock read path: per-shard
-// RWMutex, reads under RLock, the same router, and — like the real
-// engine before and after — a freshly allocated scatter per batch call
-// (concurrent callers must not share staging). It exists only as the
-// benchmark baseline.
+// RWMutex, reads under RLock, the same router, a freshly allocated
+// scatter per batch call and a scalar Get per staged key, as that engine
+// did. It exists only as the benchmark baseline.
 type rwEngine struct {
 	shards []rwShard
 	router hashfn.Function

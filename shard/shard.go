@@ -108,6 +108,7 @@ import (
 
 	"repro/hashfn"
 	"repro/internal/fault"
+	"repro/internal/lanes"
 	"repro/internal/prng"
 	"repro/obs"
 )
@@ -123,7 +124,11 @@ type Table interface {
 	TryPut(key, val uint64) (inserted bool, err error)
 	GetOrPut(key, val uint64) (actual uint64, loaded bool, err error)
 	Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint64, error)
-	GetBatch(keys, vals []uint64, ok []bool) int
+	// ReadBatch is the batched lookup over caller-owned walk scratch
+	// (table.Table.ReadBatch): it must write nothing but sc and the
+	// output lanes, because wait-free readers run it concurrently with
+	// each other, each with its own sc, and with writers.
+	ReadBatch(sc *lanes.Scratch, keys, vals []uint64, ok []bool) int
 	TryPutBatch(keys, vals []uint64) (inserted int, err error)
 	GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (inserted int, err error)
 	UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (inserted int, err error)

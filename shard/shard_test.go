@@ -260,6 +260,79 @@ func TestEngineBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestEngineGetBatchMatchesGet pins GetBatch's per-shard dispatch:
+// GetBatch(keys)[i] equals Get(keys[i]) on every scheme, both while
+// shards are mid-migration (GetBatch runs the checked chain: successor
+// first, then the frozen table minus the dead-key overlay) and at rest
+// (GetBatch runs the table's batched walk). The probe column mixes live,
+// deleted, re-inserted and never-inserted keys, duplicates and both
+// sentinel keys.
+func TestEngineGetBatchMatchesGet(t *testing.T) {
+	for _, scheme := range table.AllSchemes() {
+		t.Run(string(scheme), func(t *testing.T) {
+			e := shard.MustNew(shard.Config{
+				Shards: 4, Capacity: 256, GrowAt: 0.8, Seed: 9,
+				MigrationChunk: 1, // one entry per mutation: migrations stay in flight
+				NewTable: func(capacity int, seed uint64) (shard.Table, error) {
+					return table.New(scheme, table.Config{InitialCapacity: capacity, MaxLoadFactor: 0, Seed: seed})
+				},
+			})
+			key := func(i int) uint64 { return uint64(i)*0x9E3779B97F4A7C15 + 1 }
+			put := func(k, v uint64) {
+				t.Helper()
+				if _, err := e.Put(k, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			put(0, 1)
+			put(^uint64(0), 2)
+			n := 0
+			for ; e.Stats().Migrating == 0; n++ {
+				put(key(n), uint64(n))
+			}
+			// Deletes of frozen keys fill the dead overlays; re-inserting
+			// some of them lands the new values in the successors.
+			for i := 0; i < n; i += 5 {
+				e.Delete(key(i))
+			}
+			for i := 0; i < n; i += 10 {
+				put(key(i), uint64(i)+1000)
+			}
+			probe := []uint64{0, ^uint64(0), 0}
+			for i := 0; i < n+50; i++ {
+				probe = append(probe, key(i), key(i/2))
+			}
+			vals := make([]uint64, len(probe))
+			ok := make([]bool, len(probe))
+			check := func(phase string) {
+				t.Helper()
+				hits := e.GetBatch(probe, vals, ok)
+				want := 0
+				for i, k := range probe {
+					v, o := e.Get(k)
+					if o {
+						want++
+					}
+					if vals[i] != v || ok[i] != o {
+						t.Fatalf("%s: lane %d key %#x: GetBatch (%d,%v), Get (%d,%v)", phase, i, k, vals[i], ok[i], v, o)
+					}
+				}
+				if hits != want {
+					t.Fatalf("%s: GetBatch hits = %d, want %d", phase, hits, want)
+				}
+			}
+			if e.Stats().Migrating == 0 {
+				t.Fatal("no shard left mid-migration")
+			}
+			check("mid-migration")
+			if !e.Drain() || e.Stats().Migrating != 0 {
+				t.Fatal("Drain left a migration in flight")
+			}
+			check("at rest")
+		})
+	}
+}
+
 // refusingTable wraps a real table and synthesizes one mid-batch
 // UpsertBatch refusal: earlier lanes are stored, the failing lane's fn is
 // invoked but its value is NOT stored — exactly the state a failed Cuckoo

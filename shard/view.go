@@ -1,5 +1,7 @@
 package shard
 
+import "repro/internal/lanes"
+
 // view is one shard's published read state: the epoch mechanism behind
 // the engine's wait-free readers. Exactly one view per shard is current
 // at any instant, installed through shardState.view (an atomic pointer)
@@ -64,6 +66,25 @@ func (v *view) get(key uint64) (uint64, bool) {
 		}
 	}
 	return v.cur.Get(key)
+}
+
+// readBatch looks keys up into vals/ok and returns the hits: the one
+// staged-range read behind both GetBatch paths (optimistic and locked).
+// A non-migrating view runs its table's batched walk over the caller's
+// lane scratch; a migrating view runs the checked chain (get) per key.
+func (v *view) readBatch(sc *lanes.Scratch, keys, vals []uint64, ok []bool) int {
+	if !v.migrating() {
+		return v.cur.ReadBatch(sc, keys, vals, ok)
+	}
+	hits := 0
+	for i, k := range keys {
+		val, o := v.get(k)
+		vals[i], ok[i] = val, o
+		if o {
+			hits++
+		}
+	}
+	return hits
 }
 
 // curLive looks key up in the frozen table honoring the dead overlay

@@ -9,6 +9,8 @@ package shard
 import (
 	"errors"
 	"testing"
+
+	"repro/internal/lanes"
 )
 
 // testTable is a map-backed Table for the in-package tests (the real
@@ -66,7 +68,7 @@ func (t *testTable) Upsert(key uint64, fn func(old uint64, exists bool) uint64) 
 	t.m[key] = nv
 	return nv, nil
 }
-func (t *testTable) GetBatch(keys, vals []uint64, ok []bool) int {
+func (t *testTable) ReadBatch(_ *lanes.Scratch, keys, vals []uint64, ok []bool) int {
 	hits := 0
 	for i, k := range keys {
 		vals[i], ok[i] = t.m[k], false

@@ -27,12 +27,12 @@ package table
 // indirect call sits on a per-key path; Chained8/24 and Cuckoo keep
 // bespoke walks over their chain and candidate-set structures.
 
-import "repro/hashfn"
+import "repro/internal/lanes"
 
 // BatchWidth is the chunk size of the batched pipeline. 64 keys keep one
 // chunk's hash codes, cursors and lane list inside L1 while offering the
 // memory system dozens of independent probe streams.
-const BatchWidth = hashfn.DefaultBatchWidth
+const BatchWidth = lanes.Width
 
 // Batcher is the batched counterpart of Map's point operations, implemented
 // by every scheme in this package.
@@ -105,28 +105,38 @@ func checkBatchPut(nKeys, nVals int) {
 	}
 }
 
-// batchBuf holds one chunk's worth of per-lane state. It lives on the table
-// (lazily allocated) so the hot path allocates nothing; the tables are
-// single-threaded by design (see the package comment), so one buffer per
-// table suffices.
-type batchBuf struct {
-	hash [BatchWidth]uint64 // hash codes from the bulk-hash pass
-	a    [BatchWidth]uint64 // per-lane cursor (scheme-specific meaning)
-	b    [BatchWidth]uint64 // per-lane auxiliary counter (step, displacement)
-	lane [BatchWidth]int32  // live-lane list for the round-robin walk
-}
-
 // batchState is embedded in every scheme to carry the lazily allocated
-// chunk buffer.
+// walk scratch behind the table's own batched calls (GetBatch, PutBatch
+// and the batched mutations). Those calls run single-threaded like the
+// rest of the table, so one scratch per table serves them; concurrent
+// readers (the shard engine's wait-free GetBatch) pass their own
+// scratch to ReadBatch instead and never touch this one.
 type batchState struct {
-	bt *batchBuf
+	bt *lanes.Scratch
 }
 
-func (s *batchState) buf() *batchBuf {
+func (s *batchState) buf() *lanes.Scratch {
 	if s.bt == nil {
-		s.bt = new(batchBuf)
+		s.bt = new(lanes.Scratch)
 	}
 	return s.bt
+}
+
+// chunkReader is a scheme's batched lookup over one chunk of at most
+// BatchWidth keys.
+type chunkReader interface {
+	getChunk(sc *lanes.Scratch, keys, vals []uint64, ok []bool) int
+}
+
+// readChunks is every scheme's ReadBatch: the scheme's chunk walk over
+// each BatchWidth-sized sub-range of keys.
+func readChunks(t chunkReader, sc *lanes.Scratch, keys, vals []uint64, ok []bool) int {
+	checkBatchGet(len(keys), len(vals), len(ok))
+	hits := 0
+	chunks(len(keys), func(lo, hi int) {
+		hits += t.getChunk(sc, keys[lo:hi], vals[lo:hi], ok[lo:hi])
+	})
+	return hits
 }
 
 // chunks invokes fn for each BatchWidth-sized sub-range of [0, n).

@@ -2,6 +2,7 @@ package table
 
 import (
 	"repro/hashfn"
+	"repro/internal/lanes"
 	"repro/internal/slab"
 )
 
@@ -10,26 +11,34 @@ import (
 // so the round-robin rounds interleave *different* buckets' chain steps:
 // each round dereferences one Next per live lane, and those loads are
 // independent of each other.
+//
+// The walks end on a torn table too (see kern.ReadBatch for why they
+// must): the directory only moves on growth, which shard tables never
+// run, and the round-robin phase is capped at one round per live entry
+// plus one. Each round advances every live lane one chain entry, and a
+// consistent chain holds only live entries, so a lane still walking past
+// the cap followed Next pointers a writer was relinking (an entry freed
+// and reused mid-walk can even close a cycle in what the reader sees);
+// it reports a miss, which the caller's validation discards.
 
-// GetBatch implements Batcher.
+// GetBatch implements Batcher: ReadBatch over the table's own scratch.
 func (t *Chained8) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
-	checkBatchGet(len(keys), len(vals), len(ok))
-	bt := t.buf()
-	hits := 0
-	chunks(len(keys), func(lo, hi int) {
-		hits += t.getChunk(bt, keys[lo:hi], vals[lo:hi], ok[lo:hi])
-	})
-	return hits
+	return t.ReadBatch(t.buf(), keys, vals, ok)
 }
 
-func (t *Chained8) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
-	hashfn.HashBatch(t.fn, keys, bt.hash[:])
+// ReadBatch implements Table.
+func (t *Chained8) ReadBatch(sc *lanes.Scratch, keys, vals []uint64, ok []bool) int {
+	return readChunks(t, sc, keys, vals, ok)
+}
+
+func (t *Chained8) getChunk(bt *lanes.Scratch, keys, vals []uint64, ok []bool) int {
+	hashfn.HashBatch(t.fn, keys, bt.Hash[:])
 	shift := t.shift
 	hits := 0
 	var cur [BatchWidth]*slab.Entry
-	live := bt.lane[:0]
+	live := bt.Lane[:0]
 	for l := range keys {
-		e := t.dir[bt.hash[l]>>shift]
+		e := t.dir[bt.Hash[l]>>shift]
 		if e == nil {
 			vals[l], ok[l] = 0, false
 			continue
@@ -37,7 +46,11 @@ func (t *Chained8) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 		cur[l] = e
 		live = append(live, int32(l))
 	}
-	for len(live) > 0 {
+	for rounds := t.size + 1; len(live) > 0; rounds-- {
+		if rounds == 0 {
+			abandon(live, vals, ok)
+			break
+		}
 		w := 0
 		for _, l := range live {
 			e := cur[l]
@@ -67,9 +80,9 @@ func (t *Chained8) PutBatch(keys []uint64, vals []uint64) int {
 	inserted := 0
 	chunks(len(keys), func(lo, hi int) {
 		kc, vc := keys[lo:hi], vals[lo:hi]
-		hashfn.HashBatch(t.fn, kc, bt.hash[:])
+		hashfn.HashBatch(t.fn, kc, bt.Hash[:])
 		for l, k := range kc {
-			if ins, _ := t.putHashed(k, vc[l], bt.hash[l]); ins {
+			if ins, _ := t.putHashed(k, vc[l], bt.Hash[l]); ins {
 				inserted++
 			}
 		}
@@ -77,25 +90,24 @@ func (t *Chained8) PutBatch(keys []uint64, vals []uint64) int {
 	return inserted
 }
 
-// GetBatch implements Batcher. The first-probe pass resolves against the
-// widened directory's inline entries — the collision-free case Chained24
-// exists for — and only overflow chains enter the round-robin walk.
+// GetBatch implements Batcher: ReadBatch over the table's own scratch.
 func (t *Chained24) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
-	checkBatchGet(len(keys), len(vals), len(ok))
-	bt := t.buf()
-	hits := 0
-	chunks(len(keys), func(lo, hi int) {
-		hits += t.getChunk(bt, keys[lo:hi], vals[lo:hi], ok[lo:hi])
-	})
-	return hits
+	return t.ReadBatch(t.buf(), keys, vals, ok)
 }
 
-func (t *Chained24) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
-	hashfn.HashBatch(t.fn, keys, bt.hash[:])
+// ReadBatch implements Table. The first-probe pass resolves against the
+// widened directory's inline entries — the collision-free case Chained24
+// exists for — and only overflow chains enter the round-robin walk.
+func (t *Chained24) ReadBatch(sc *lanes.Scratch, keys, vals []uint64, ok []bool) int {
+	return readChunks(t, sc, keys, vals, ok)
+}
+
+func (t *Chained24) getChunk(bt *lanes.Scratch, keys, vals []uint64, ok []bool) int {
+	hashfn.HashBatch(t.fn, keys, bt.Hash[:])
 	shift := t.shift
 	hits := 0
 	var cur [BatchWidth]*slab.Entry
-	live := bt.lane[:0]
+	live := bt.Lane[:0]
 	for l := range keys {
 		k := keys[l]
 		if k == emptyKey {
@@ -105,7 +117,7 @@ func (t *Chained24) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 			}
 			continue
 		}
-		b := &t.dir[bt.hash[l]>>shift]
+		b := &t.dir[bt.Hash[l]>>shift]
 		if b.key == k {
 			vals[l], ok[l] = b.val, true
 			hits++
@@ -118,7 +130,11 @@ func (t *Chained24) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 		cur[l] = b.next
 		live = append(live, int32(l))
 	}
-	for len(live) > 0 {
+	for rounds := t.size + 1; len(live) > 0; rounds-- {
+		if rounds == 0 {
+			abandon(live, vals, ok)
+			break
+		}
 		w := 0
 		for _, l := range live {
 			e := cur[l]
@@ -147,7 +163,7 @@ func (t *Chained24) PutBatch(keys []uint64, vals []uint64) int {
 	inserted := 0
 	chunks(len(keys), func(lo, hi int) {
 		kc, vc := keys[lo:hi], vals[lo:hi]
-		hashfn.HashBatch(t.fn, kc, bt.hash[:])
+		hashfn.HashBatch(t.fn, kc, bt.Hash[:])
 		for l, k := range kc {
 			if k == emptyKey {
 				if !t.hasZero {
@@ -156,7 +172,7 @@ func (t *Chained24) PutBatch(keys []uint64, vals []uint64) int {
 				t.hasZero, t.zeroVal = true, vc[l]
 				continue
 			}
-			if ins, _ := t.putHashed(k, vc[l], bt.hash[l]); ins {
+			if ins, _ := t.putHashed(k, vc[l], bt.Hash[l]); ins {
 				inserted++
 			}
 		}

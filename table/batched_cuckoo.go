@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"repro/hashfn"
+	"repro/internal/lanes"
 )
 
 // Batched pipeline for Cuckoo hashing. Cuckoo lookups are the natural fit
@@ -14,20 +15,21 @@ import (
 // plus one scan of independent probes — per-call hash overhead is paid
 // ways times per *chunk* instead of ways times per key.
 
-// GetBatch implements Batcher.
+// GetBatch implements Batcher: ReadBatch over the table's own scratch.
 func (t *Cuckoo) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
-	checkBatchGet(len(keys), len(vals), len(ok))
-	bt := t.buf()
-	hits := 0
-	chunks(len(keys), func(lo, hi int) {
-		hits += t.getChunk(bt, keys[lo:hi], vals[lo:hi], ok[lo:hi])
-	})
-	return hits
+	return t.ReadBatch(t.buf(), keys, vals, ok)
 }
 
-func (t *Cuckoo) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
+// ReadBatch implements Table. Its walk is bounded by construction, so it
+// ends on a torn table too (see kern.ReadBatch for why it must): at most
+// one round per subtable, one probe per lane per round.
+func (t *Cuckoo) ReadBatch(sc *lanes.Scratch, keys, vals []uint64, ok []bool) int {
+	return readChunks(t, sc, keys, vals, ok)
+}
+
+func (t *Cuckoo) getChunk(bt *lanes.Scratch, keys, vals []uint64, ok []bool) int {
 	hits := 0
-	live := bt.lane[:0]
+	live := bt.Lane[:0]
 	for l := range keys {
 		k := keys[l]
 		if isSentinelKey(k) {
@@ -44,13 +46,13 @@ func (t *Cuckoo) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 		// Gather the unresolved keys and bulk-hash them with subtable j's
 		// function.
 		for i, l := range live {
-			bt.a[i] = keys[l]
+			bt.Cursor[i] = keys[l]
 		}
-		hashfn.HashBatch(t.fns[j], bt.a[:len(live)], bt.hash[:])
+		hashfn.HashBatch(t.fns[j], bt.Cursor[:len(live)], bt.Hash[:])
 		base := j * int(subCap)
 		w := 0
 		for i, l := range live {
-			hi, _ := bits.Mul64(bt.hash[i], subCap)
+			hi, _ := bits.Mul64(bt.Hash[i], subCap)
 			s := &t.slots[base+int(hi)]
 			if s.key == keys[l] {
 				vals[l], ok[l] = s.val, true

@@ -45,6 +45,7 @@ import (
 	"iter"
 
 	"repro/hashfn"
+	"repro/internal/lanes"
 )
 
 // lineWordsM masks the within-cache-line part of a scaled cursor: 8
@@ -655,9 +656,9 @@ func (c *kern) TryPutBatch(keys, vals []uint64) (int, error) {
 	for lo := 0; lo < len(keys); lo += BatchWidth {
 		hi := min(lo+BatchWidth, len(keys))
 		kc, vc := keys[lo:hi], vals[lo:hi]
-		hashfn.HashBatch(c.fn, kc, bt.hash[:])
+		hashfn.HashBatch(c.fn, kc, bt.Hash[:])
 		for l, k := range kc {
-			_, existed, err := c.rmwHashed(k, vc[l], bt.hash[l], true, nil)
+			_, existed, err := c.rmwHashed(k, vc[l], bt.Hash[l], true, nil)
 			if err != nil {
 				return inserted, err
 			}
@@ -678,9 +679,9 @@ func (c *kern) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, erro
 	for lo := 0; lo < len(keys); lo += BatchWidth {
 		hi := min(lo+BatchWidth, len(keys))
 		kc := keys[lo:hi]
-		hashfn.HashBatch(c.fn, kc, bt.hash[:])
+		hashfn.HashBatch(c.fn, kc, bt.Hash[:])
 		for l, k := range kc {
-			v, existed, err := c.rmwHashed(k, vals[lo+l], bt.hash[l], false, nil)
+			v, existed, err := c.rmwHashed(k, vals[lo+l], bt.Hash[l], false, nil)
 			if err != nil {
 				return inserted, err
 			}
@@ -703,10 +704,10 @@ func (c *kern) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists b
 	for lo := 0; lo < len(keys); lo += BatchWidth {
 		hi := min(lo+BatchWidth, len(keys))
 		kc := keys[lo:hi]
-		hashfn.HashBatch(c.fn, kc, bt.hash[:])
+		hashfn.HashBatch(c.fn, kc, bt.Hash[:])
 		for l, k := range kc {
 			lane = lo + l
-			_, existed, err := c.rmwHashed(k, 0, bt.hash[l], false, adapter)
+			_, existed, err := c.rmwHashed(k, 0, bt.Hash[l], false, adapter)
 			if err != nil {
 				return inserted, err
 			}
@@ -722,20 +723,52 @@ func (c *kern) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists b
 // Batched pipeline
 // ---------------------------------------------------------------------------
 
-// GetBatch implements Batcher: the chunk is bulk-hashed once, a
+// GetBatch implements Batcher: ReadBatch over the table's own scratch.
+func (c *kern) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
+	return c.ReadBatch(c.buf(), keys, vals, ok)
+}
+
+// ReadBatch implements Table: each chunk is bulk-hashed once, a
 // first-probe pass walks every lane to the end of its home cache line
 // (at moderate load factors most lookups resolve right there), and
 // unresolved lanes enter a round-robin walk that advances each live
 // probe sequence one cache line per round — consecutive loads belong to
 // different sequences, so the memory system overlaps their misses.
-func (c *kern) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
-	checkBatchGet(len(keys), len(vals), len(ok))
-	bt := c.buf()
-	hits := 0
-	chunks(len(keys), func(lo, hi int) {
-		hits += c.getChunk(bt, keys[lo:hi], vals[lo:hi], ok[lo:hi])
-	})
-	return hits
+//
+// # Termination on a torn table
+//
+// The shard engine runs ReadBatch optimistically, on plain loads of a
+// table a writer may be mutating, and validates afterwards. The walks
+// must therefore end on ANY observed slot contents, not only on the
+// consistent states the writer leaves behind:
+//
+//   - the geometry (kc, smask, the cursor scaling) is read once into
+//     locals, and a writer-side in-place rehash reallocates the columns
+//     at the same capacity, so every cursor stays in bounds;
+//   - every first-probe pass, and every round of a walk, ends within one
+//     cache line of probes whatever the slots hold: linear and robin
+//     yield at the line's end, and a stepped lane yields on leaving its
+//     line, which its permutation sequence does within perLine probes
+//     (the stepped schemes are AoS, and the minimum capacity of 8 slots
+//     spans two AoS lines);
+//   - the round-robin walks are capped at len(kc) rounds, at least one
+//     per slot: each round advances every live lane at least one probe,
+//     and on a consistent table an empty slot — or, on a completely
+//     occupied bounded table, the sweep variant — ends every sequence
+//     within slotCount probes. A lane still live after the cap can
+//     only have raced a writer (slots kept refilling ahead of it, or a
+//     stale occupancy count sent a full table down the walk); it
+//     reports a miss, which the caller's validation discards.
+func (c *kern) ReadBatch(sc *lanes.Scratch, keys, vals []uint64, ok []bool) int {
+	return readChunks(c, sc, keys, vals, ok)
+}
+
+// abandon reports the lanes still live when a walk hits its round cap
+// as misses; see ReadBatch.
+func abandon(live []int32, vals []uint64, ok []bool) {
+	for _, l := range live {
+		vals[l], ok[l] = 0, false
+	}
 }
 
 // getChunk resolves one chunk through one of four walk variants, chosen
@@ -750,11 +783,11 @@ func (c *kern) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
 // sinc), robin covers RH, and sweep covers any bounded scheme on a
 // degenerate completely-occupied table, where only the probe-counting
 // full-sweep lookup terminates.
-func (c *kern) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
+func (c *kern) getChunk(bt *lanes.Scratch, keys, vals []uint64, ok []bool) int {
 	if c.fullSweepOnly() {
 		return c.getChunkSweep(keys, vals, ok)
 	}
-	hashfn.HashBatch(c.fn, keys, bt.hash[:])
+	hashfn.HashBatch(c.fn, keys, bt.Hash[:])
 	switch {
 	case c.robin:
 		return c.getChunkRobin(bt, keys, vals, ok)
@@ -766,9 +799,9 @@ func (c *kern) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 }
 
 // getChunkLinear is the walk for plain linear probing under either
-// layout. A lane's resume state is its scaled cursor (bt.a); the walk
+// layout. A lane's resume state is its scaled cursor (bt.Cursor); the walk
 // yields whenever the advanced cursor enters a new cache line.
-func (c *kern) getChunkLinear(bt *batchBuf, keys, vals []uint64, ok []bool) int {
+func (c *kern) getChunkLinear(bt *lanes.Scratch, keys, vals []uint64, ok []bool) int {
 	kc, smask := c.kc, c.smask
 	vcb := c.vc[c.ks:]
 	sone := c.sone
@@ -777,7 +810,7 @@ func (c *kern) getChunkLinear(bt *batchBuf, keys, vals []uint64, ok []bool) int 
 	// inside the lane loop would reload them per lane.
 	sshift, soneM := c.sshift, c.sone-1
 	hits := 0
-	live := bt.lane[:0]
+	live := bt.Lane[:0]
 	// First-probe pass: walk every lane from its home slot to the end of
 	// the home cache line; at moderate load factors most lookups resolve
 	// without ever becoming a live lane. Survivors yield at the line
@@ -792,7 +825,7 @@ func (c *kern) getChunkLinear(bt *batchBuf, keys, vals []uint64, ok []bool) int 
 			}
 			continue
 		}
-		si := (bt.hash[l] >> (sshift & 63)) &^ soneM
+		si := (bt.Hash[l] >> (sshift & 63)) &^ soneM
 		for {
 			k := kc[si]
 			if k == key {
@@ -806,7 +839,7 @@ func (c *kern) getChunkLinear(bt *batchBuf, keys, vals []uint64, ok []bool) int 
 			}
 			si = (si + sone) & smask
 			if si&lineWordsM == 0 {
-				bt.a[l] = si
+				bt.Cursor[l] = si
 				live = append(live, int32(l))
 				break
 			}
@@ -816,11 +849,15 @@ func (c *kern) getChunkLinear(bt *batchBuf, keys, vals []uint64, ok []bool) int 
 	// line the walk is sequential (the load already paid for the line),
 	// across lanes the line-crossing loads are independent and overlap
 	// in the memory system.
-	for len(live) > 0 {
+	for rounds := len(kc); len(live) > 0; rounds-- {
+		if rounds == 0 {
+			abandon(live, vals, ok)
+			break
+		}
 		w := 0
 		for _, l := range live {
 			key := keys[l]
-			si := bt.a[l]
+			si := bt.Cursor[l]
 			for {
 				k := kc[si]
 				if k == key {
@@ -834,7 +871,7 @@ func (c *kern) getChunkLinear(bt *batchBuf, keys, vals []uint64, ok []bool) int 
 				}
 				si = (si + sone) & smask
 				if si&lineWordsM == 0 {
-					bt.a[l] = si
+					bt.Cursor[l] = si
 					live[w] = l
 					w++
 					break
@@ -850,14 +887,14 @@ func (c *kern) getChunkLinear(bt *batchBuf, keys, vals []uint64, ok []bool) int 
 // cache-line-granular early abort fires at line ends, which is also
 // where unresolved lanes yield — one ordering check per line, as in the
 // scalar Get. The probed key's own displacement is its cursor distance
-// from home (bt.b carries the home cursor).
-func (c *kern) getChunkRobin(bt *batchBuf, keys, vals []uint64, ok []bool) int {
+// from home (bt.Aux carries the home cursor).
+func (c *kern) getChunkRobin(bt *lanes.Scratch, keys, vals []uint64, ok []bool) int {
 	kc, smask := c.kc, c.smask
 	vcb := c.vc[c.ks:]
 	sone, lineEnd := c.sone, c.slineEnd
 	sshift, soneM := c.sshift, c.sone-1
 	hits := 0
-	live := bt.lane[:0]
+	live := bt.Lane[:0]
 	for l := range keys {
 		key := keys[l]
 		if isSentinelKey(key) {
@@ -867,7 +904,7 @@ func (c *kern) getChunkRobin(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 			}
 			continue
 		}
-		si := (bt.hash[l] >> (sshift & 63)) &^ soneM
+		si := (bt.Hash[l] >> (sshift & 63)) &^ soneM
 		si0 := si
 		for {
 			k := kc[si]
@@ -885,18 +922,22 @@ func (c *kern) getChunkRobin(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 					vals[l], ok[l] = 0, false
 					break
 				}
-				bt.a[l], bt.b[l] = (si+sone)&smask, si0
+				bt.Cursor[l], bt.Aux[l] = (si+sone)&smask, si0
 				live = append(live, int32(l))
 				break
 			}
 			si = (si + sone) & smask
 		}
 	}
-	for len(live) > 0 {
+	for rounds := len(kc); len(live) > 0; rounds-- {
+		if rounds == 0 {
+			abandon(live, vals, ok)
+			break
+		}
 		w := 0
 		for _, l := range live {
 			key := keys[l]
-			si, si0 := bt.a[l], bt.b[l]
+			si, si0 := bt.Cursor[l], bt.Aux[l]
 			for {
 				k := kc[si]
 				if k == key {
@@ -913,7 +954,7 @@ func (c *kern) getChunkRobin(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 						vals[l], ok[l] = 0, false
 						break
 					}
-					bt.a[l] = (si + sone) & smask
+					bt.Cursor[l] = (si + sone) & smask
 					live[w] = l
 					w++
 					break
@@ -929,18 +970,18 @@ func (c *kern) getChunkRobin(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 // getChunkStepped is the walk for the stepping sequences (triangular
 // quadratic and double hashing): a lane advances by sstep slots per
 // probe, with sstep growing by sinc, and yields when the advance leaves
-// the current cache line. bt.a carries the cursor and bt.b the next
+// the current cache line. bt.Cursor carries the cursor and bt.Aux the next
 // step. No full-sweep guard is needed here: the caller diverted the
 // degenerate completely-occupied state to the sweep variant, and a
 // permutation sequence otherwise terminates on an empty slot.
-func (c *kern) getChunkStepped(bt *batchBuf, keys, vals []uint64, ok []bool) int {
+func (c *kern) getChunkStepped(bt *lanes.Scratch, keys, vals []uint64, ok []bool) int {
 	kc, smask := c.kc, c.smask
 	vcb := c.vc[c.ks:]
 	sinc := c.sinc
 	sshift, soneM := c.sshift, c.sone-1
 	strideM, sone := c.strideMask, c.sone
 	hits := 0
-	live := bt.lane[:0]
+	live := bt.Lane[:0]
 	for l := range keys {
 		key := keys[l]
 		if isSentinelKey(key) {
@@ -950,7 +991,7 @@ func (c *kern) getChunkStepped(bt *batchBuf, keys, vals []uint64, ok []bool) int
 			}
 			continue
 		}
-		hash := bt.hash[l]
+		hash := bt.Hash[l]
 		si := (hash >> (sshift & 63)) &^ soneM
 		sstep := ((hash & strideM) | 1) * sone
 		for {
@@ -967,18 +1008,22 @@ func (c *kern) getChunkStepped(bt *batchBuf, keys, vals []uint64, ok []bool) int
 			next := (si + sstep) & smask
 			sstep += sinc
 			if next&^lineWordsM != si&^lineWordsM {
-				bt.a[l], bt.b[l] = next, sstep
+				bt.Cursor[l], bt.Aux[l] = next, sstep
 				live = append(live, int32(l))
 				break
 			}
 			si = next
 		}
 	}
-	for len(live) > 0 {
+	for rounds := len(kc); len(live) > 0; rounds-- {
+		if rounds == 0 {
+			abandon(live, vals, ok)
+			break
+		}
 		w := 0
 		for _, l := range live {
 			key := keys[l]
-			si, sstep := bt.a[l], bt.b[l]
+			si, sstep := bt.Cursor[l], bt.Aux[l]
 			for {
 				k := kc[si]
 				if k == key {
@@ -993,7 +1038,7 @@ func (c *kern) getChunkStepped(bt *batchBuf, keys, vals []uint64, ok []bool) int
 				next := (si + sstep) & smask
 				sstep += sinc
 				if next&^lineWordsM != si&^lineWordsM {
-					bt.a[l], bt.b[l] = next, sstep
+					bt.Cursor[l], bt.Aux[l] = next, sstep
 					live[w] = l
 					w++
 					break
@@ -1030,7 +1075,7 @@ func (c *kern) PutBatch(keys []uint64, vals []uint64) int {
 	inserted := 0
 	chunks(len(keys), func(lo, hi int) {
 		kc, vc := keys[lo:hi], vals[lo:hi]
-		hashfn.HashBatch(c.fn, kc, bt.hash[:])
+		hashfn.HashBatch(c.fn, kc, bt.Hash[:])
 		for l, k := range kc {
 			if isSentinelKey(k) {
 				if c.sent.put(k, vc[l]) {
@@ -1038,7 +1083,7 @@ func (c *kern) PutBatch(keys []uint64, vals []uint64) int {
 				}
 				continue
 			}
-			if c.mustPutHashed(k, vc[l], bt.hash[l]) {
+			if c.mustPutHashed(k, vc[l], bt.Hash[l]) {
 				inserted++
 			}
 		}

@@ -23,16 +23,17 @@ import (
 	"iter"
 
 	"repro/hashfn"
+	"repro/internal/lanes"
 )
 
 // rmwTable is the internal hook the generic batched implementations need:
-// the scheme's bulk-hashable function, its chunk buffer, and its
+// the scheme's bulk-hashable function, its own walk scratch, and its
 // single-probe RMW primitive. Cuckoo is not included — its candidate slots
 // come from k scheme-owned functions, so there is no shared bulk-hash pass
 // to reuse and it gets bespoke loops below.
 type rmwTable interface {
 	hashFn() hashfn.Function
-	buf() *batchBuf
+	buf() *lanes.Scratch
 	rmwHashed(key, val, hash uint64, overwrite bool, fn func(uint64, bool) uint64) (uint64, bool, error)
 }
 
@@ -57,9 +58,9 @@ func tryPutBatchImpl[T rmwTable](t T, keys, vals []uint64) (int, error) {
 	for lo := 0; lo < len(keys); lo += BatchWidth {
 		hi := min(lo+BatchWidth, len(keys))
 		kc, vc := keys[lo:hi], vals[lo:hi]
-		hashfn.HashBatch(fn, kc, bt.hash[:])
+		hashfn.HashBatch(fn, kc, bt.Hash[:])
 		for l, k := range kc {
-			_, existed, err := t.rmwHashed(k, vc[l], bt.hash[l], true, nil)
+			_, existed, err := t.rmwHashed(k, vc[l], bt.Hash[l], true, nil)
 			if err != nil {
 				return inserted, err
 			}
@@ -80,9 +81,9 @@ func getOrPutBatchImpl[T rmwTable](t T, keys, vals, out []uint64, loaded []bool)
 	for lo := 0; lo < len(keys); lo += BatchWidth {
 		hi := min(lo+BatchWidth, len(keys))
 		kc := keys[lo:hi]
-		hashfn.HashBatch(fn, kc, bt.hash[:])
+		hashfn.HashBatch(fn, kc, bt.Hash[:])
 		for l, k := range kc {
-			v, existed, err := t.rmwHashed(k, vals[lo+l], bt.hash[l], false, nil)
+			v, existed, err := t.rmwHashed(k, vals[lo+l], bt.Hash[l], false, nil)
 			if err != nil {
 				return inserted, err
 			}
@@ -105,10 +106,10 @@ func upsertBatchImpl[T rmwTable](t T, keys []uint64, fn func(lane int, old uint6
 	for lo := 0; lo < len(keys); lo += BatchWidth {
 		hi := min(lo+BatchWidth, len(keys))
 		kc := keys[lo:hi]
-		hashfn.HashBatch(hf, kc, bt.hash[:])
+		hashfn.HashBatch(hf, kc, bt.Hash[:])
 		for l, k := range kc {
 			lane = lo + l
-			_, existed, err := t.rmwHashed(k, 0, bt.hash[l], false, adapter)
+			_, existed, err := t.rmwHashed(k, 0, bt.Hash[l], false, adapter)
 			if err != nil {
 				return inserted, err
 			}

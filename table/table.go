@@ -46,6 +46,7 @@ import (
 	"math/bits"
 
 	"repro/hashfn"
+	"repro/internal/lanes"
 )
 
 // Map is the scalar point-operation interface of all hash tables in this
@@ -94,6 +95,12 @@ type Table interface {
 	Map
 	Batcher
 
+	// ReadBatch is GetBatch over caller-owned walk scratch. It writes
+	// nothing but sc and the output lanes, so callers holding distinct
+	// scratch may probe one table at once: the shard engine's wait-free
+	// readers do, each with pooled scratch of its own. GetBatch is
+	// ReadBatch over the table's own scratch.
+	ReadBatch(sc *lanes.Scratch, keys, vals []uint64, ok []bool) int
 	// TryPut is Put that reports ErrFull instead of growing when a
 	// growth-disabled table is out of room.
 	TryPut(key, val uint64) (inserted bool, err error)
